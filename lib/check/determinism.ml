@@ -56,6 +56,18 @@ let trace_digest (t : Trace.t) =
       buf_float b s.Trace.saved_s)
     t.Trace.speculations;
   buf_float b t.Trace.speculation_s;
+  List.iter
+    (fun (r : Trace.reshuffle) ->
+      buf_int b r.Trace.resh_step;
+      buf_int b r.Trace.executors_before;
+      buf_int b r.Trace.executors_after;
+      buf_int b r.Trace.moved_partitions;
+      buf_float b r.Trace.moved_bytes;
+      buf_int b r.Trace.rebroadcast_replicas;
+      buf_float b r.Trace.rebroadcast_bytes;
+      buf_float b r.Trace.reshuffle_s)
+    t.Trace.reshuffles;
+  buf_float b t.Trace.reshuffle_s;
   buf_float b t.Trace.total_s;
   Buffer.add_string b (Trace.outcome_name t.Trace.outcome);
   buf_float b t.Trace.peak_executor_bytes;

@@ -197,7 +197,29 @@ let test_digest_stability () =
 let test_digest_sensitivity () =
   let broken = with_first_compute_step (fun s -> { s with Trace.messages = s.Trace.messages + 1 }) trace in
   checkb "one counter flips the digest" true
-    (Determinism.trace_digest broken <> Determinism.trace_digest trace)
+    (Determinism.trace_digest broken <> Determinism.trace_digest trace);
+  (* An elastic re-shuffle that moved differently must not go unseen. *)
+  let resh =
+    {
+      Trace.resh_step = 2;
+      executors_before = 2;
+      executors_after = 1;
+      moved_partitions = 4;
+      moved_bytes = 1024.0;
+      rebroadcast_replicas = 10;
+      rebroadcast_bytes = 512.0;
+      reshuffle_s = 0.5;
+    }
+  in
+  let reshuffled = { trace with Trace.reshuffles = [ resh ]; reshuffle_s = 0.5 } in
+  let tampered = { reshuffled with Trace.reshuffles = [ { resh with Trace.moved_partitions = 3 } ] } in
+  checkb "a reshuffle record flips the digest" true
+    (Determinism.trace_digest reshuffled <> Determinism.trace_digest trace);
+  checkb "a tampered reshuffle flips the digest" true
+    (Determinism.trace_digest tampered <> Determinism.trace_digest reshuffled);
+  checkb "reshuffle seconds flip the digest" true
+    (Determinism.trace_digest { reshuffled with Trace.reshuffle_s = 0.25 }
+    <> Determinism.trace_digest reshuffled)
 
 let test_run_twice () =
   check_clean "deterministic thunk" (Determinism.run_twice ~label:"pr" (fun () -> Determinism.trace_digest (run_pagerank ())));
