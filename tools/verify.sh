@@ -25,6 +25,9 @@ grep -q '"clean":true' _build/default/lint.json || {
   exit 1
 }
 
+echo "== CLI help pages render (no cmdliner doc-markup errors)"
+sh tools/check_help.sh _build/default/bin/cutfit_cli.exe
+
 echo "== paranoid sanitizer pass"
 dune exec bin/cutfit_cli.exe -- check PR roadnet_pa
 dune exec bin/cutfit_cli.exe -- run CC roadnet_pa --paranoid >/dev/null
