@@ -3,90 +3,9 @@ module Pgraph = Cutfit_bsp.Pgraph
 module Cluster = Cutfit_bsp.Cluster
 module Cost_model = Cutfit_bsp.Cost_model
 module Trace = Cutfit_bsp.Trace
-module Obs = Cutfit_obs
+module Ledger = Cutfit_bsp.Ledger
 
 type result = { per_vertex : int array; total : int; trace : Trace.t }
-
-(* Assemble one dataflow stage into a trace record using the same time
-   composition as the Pregel engine, emitting the matching telemetry
-   event when a handle is attached. *)
-let finish_stage ?telemetry ~cluster ~scale ~cost ~step ~work ~bytes_out ~active_edges ~messages
-    ~shuffle_groups ~remote_shuffles ~updated ~bcast ~remote_bcast () =
-  let executors = cluster.Cluster.executors in
-  let num_partitions = cluster.Cluster.num_partitions in
-  let exec_of = Cluster.executor_of_partition cluster in
-  let jittered = Cost_model.jittered cost ~step work in
-  let busy = Array.make executors 0.0 in
-  for e = 0 to executors - 1 do
-    let mine = ref [] in
-    for p = 0 to num_partitions - 1 do
-      if exec_of p = e then mine := jittered.(p) :: !mine
-    done;
-    busy.(e) <-
-      scale
-      *. Cost_model.makespan ~work:(Array.of_list !mine) ~cores:cluster.Cluster.cores_per_executor
-  done;
-  let compute = Array.fold_left Float.max 0.0 busy in
-  let network = ref 0.0 and wire = ref 0.0 in
-  let bandwidth = Cluster.network_bytes_per_s cluster in
-  for e = 0 to executors - 1 do
-    wire := !wire +. (scale *. bytes_out.(e));
-    let t = scale *. bytes_out.(e) /. bandwidth in
-    if t > !network then network := t
-  done;
-  let overhead =
-    cost.Cost_model.superstep_barrier_s
-    +. (float_of_int num_partitions *. cost.Cost_model.task_dispatch_s)
-  in
-  let stats =
-    {
-      Trace.step;
-      active_edges;
-      messages;
-      shuffle_groups;
-      remote_shuffles;
-      updated_vertices = updated;
-      broadcast_replicas = bcast;
-      remote_broadcasts = remote_bcast;
-      wire_bytes = !wire;
-      compute_s = compute;
-      network_s = !network;
-      overhead_s = overhead;
-      time_s = Float.max compute !network +. overhead;
-    }
-  in
-  (match telemetry with
-  | None -> ()
-  | Some t ->
-      let max_task = ref 0.0 and min_task = ref Float.infinity in
-      Array.iter
-        (fun w ->
-          let w = scale *. w in
-          if w > !max_task then max_task := w;
-          if w < !min_task then min_task := w)
-        jittered;
-      Obs.Telemetry.emit t
-        (Obs.Event.Superstep
-           {
-             step;
-             active_vertices = updated;
-             active_edges;
-             messages;
-             local_shuffles = shuffle_groups - remote_shuffles;
-             remote_shuffles;
-             broadcast_replicas = bcast;
-             remote_broadcasts = remote_bcast;
-             wire_bytes = stats.Trace.wire_bytes;
-             executor_busy_s = busy;
-             barrier_wait_s = Array.map (fun b -> compute -. b) busy;
-             max_task_s = !max_task;
-             min_task_s = (if num_partitions = 0 then 0.0 else !min_task);
-             compute_s = stats.Trace.compute_s;
-             network_s = stats.Trace.network_s;
-             overhead_s = stats.Trace.overhead_s;
-             time_s = stats.Trace.time_s;
-           }));
-  stats
 
 (* --- compact CSR kernel -------------------------------------------
 
@@ -188,208 +107,139 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
      fresh copy per edge would cost O(sum deg^2) allocation. *)
   let adjacency = Array.init n (Graph.out_neighbors und) in
   let exec_of = Cluster.executor_of_partition cluster in
+  (* A fixed dataflow: no build stage, faults, speculation, checkpoints
+     or driver lineage — only the ledger's stage time composition. *)
+  let ledger = Ledger.create ~scale ~cost ?telemetry ~cluster ~state_bytes:0 pg in
 
   (* Stage 1 — collect neighbour ids: every edge contributes both
      endpoint ids; partials are merged per partition and reduced at each
      vertex's master, where cut vertices pay the heavy array-merge. *)
-  let stage1 =
-    let work = Array.make num_partitions 0.0 in
-    let bytes_out = Array.make cluster.Cluster.executors 0.0 in
-    let messages = ref 0 and remote = ref 0 in
-    for p = 0 to num_partitions - 1 do
-      let pexec = exec_of p in
-      Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
-          work.(p) <-
-            work.(p) +. cost.Cost_model.edge_scan_s +. (2.0 *. cost.Cost_model.msg_merge_s);
-          messages := !messages + 2;
-          let ship v =
-            if exec_of (Pgraph.master pg v) <> pexec then
-              bytes_out.(pexec) <- bytes_out.(pexec) +. 8.0
-          in
-          ship src;
-          ship dst)
-    done;
-    (* One aggregate per (vertex, partition) routing entry. The master
-       merges one partial array per replica; for cut vertices that is a
-       genuine multi-way array reduction, which is the heavy per-cut-
-       vertex JVM cost the paper blames for TR's Cut sensitivity. *)
-    let groups = ref 0 in
-    for v = 0 to n - 1 do
-      let r = Pgraph.replica_count pg v in
-      groups := !groups + r;
-      let mp = Pgraph.master pg v in
-      let mexec = exec_of mp in
-      Pgraph.iter_replicas pg v (fun q ->
-          if exec_of q <> mexec then begin
-            incr remote;
-            bytes_out.(exec_of q) <-
-              bytes_out.(exec_of q)
-              +. float_of_int cost.Cost_model.msg_wire_overhead_bytes
-          end);
-      if r >= 2 then work.(mp) <- work.(mp) +. cost.Cost_model.cut_vertex_reduce_s;
-      work.(mp) <- work.(mp) +. (float_of_int (deg v) *. cost.Cost_model.msg_merge_s)
-    done;
-    finish_stage ?telemetry ~cluster ~scale ~cost ~step:0 ~work ~bytes_out
-      ~active_edges:(Graph.num_edges g) ~messages:!messages ~shuffle_groups:!groups
-      ~remote_shuffles:!remote ~updated:n ~bcast:0 ~remote_bcast:0 ()
-  in
+  let c = Ledger.counters ledger ~step:0 in
+  let work = c.Ledger.work and bytes_out = c.Ledger.bytes_out in
+  for p = 0 to num_partitions - 1 do
+    let pexec = exec_of p in
+    Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
+        work.(p) <- work.(p) +. cost.Cost_model.edge_scan_s +. (2.0 *. cost.Cost_model.msg_merge_s);
+        c.messages <- c.messages + 2;
+        let ship v =
+          if exec_of (Pgraph.master pg v) <> pexec then
+            bytes_out.(pexec) <- bytes_out.(pexec) +. 8.0
+        in
+        ship src;
+        ship dst)
+  done;
+  (* One aggregate per (vertex, partition) routing entry. The master
+     merges one partial array per replica; for cut vertices that is a
+     genuine multi-way array reduction, which is the heavy per-cut-
+     vertex JVM cost the paper blames for TR's Cut sensitivity. *)
+  for v = 0 to n - 1 do
+    let r = Pgraph.replica_count pg v in
+    c.shuffle_groups <- c.shuffle_groups + r;
+    let mp = Pgraph.master pg v in
+    let mexec = exec_of mp in
+    Pgraph.iter_replicas pg v (fun q ->
+        if exec_of q <> mexec then begin
+          c.remote_shuffles <- c.remote_shuffles + 1;
+          bytes_out.(exec_of q) <-
+            bytes_out.(exec_of q) +. float_of_int cost.Cost_model.msg_wire_overhead_bytes
+        end);
+    if r >= 2 then work.(mp) <- work.(mp) +. cost.Cost_model.cut_vertex_reduce_s;
+    work.(mp) <- work.(mp) +. (float_of_int (deg v) *. cost.Cost_model.msg_merge_s)
+  done;
+  c.active_edges <- Graph.num_edges g;
+  c.updated <- n;
+  Ledger.stage ledger ~step:0 c;
 
   (* Stage 2 — replicate neighbour sets along the routing table. Each
      set is serialized once at the master and shipped once per remote
      executor (partitions on one machine share the block-manager copy),
      so the wire cost tracks graph size, while the per-cut-vertex
      serialization overhead tracks the Cut metric. *)
-  let stage2 =
-    let work = Array.make num_partitions 0.0 in
-    let bytes_out = Array.make cluster.Cluster.executors 0.0 in
-    let bcast = ref 0 and remote_bcast = ref 0 in
-    let exec_seen = Array.make cluster.Cluster.executors (-1) in
-    for v = 0 to n - 1 do
-      let mp = Pgraph.master pg v in
-      let mexec = exec_of mp in
-      let set_bytes = float_of_int ((8 * deg v) + cost.Cost_model.msg_wire_overhead_bytes) in
-      work.(mp) <-
-        work.(mp) +. cost.Cost_model.msg_serialize_s
-        +. (float_of_int (deg v) *. cost.Cost_model.array_element_s);
-      if Pgraph.replica_count pg v >= 2 then
-        work.(mp) <- work.(mp) +. cost.Cost_model.cut_vertex_reduce_s;
-      Pgraph.iter_replicas pg v (fun q ->
-          incr bcast;
-          let e = exec_of q in
-          if e <> mexec && exec_seen.(e) <> v then begin
-            exec_seen.(e) <- v;
-            incr remote_bcast;
-            bytes_out.(mexec) <- bytes_out.(mexec) +. set_bytes
-          end)
-    done;
-    finish_stage ?telemetry ~cluster ~scale ~cost ~step:1 ~work ~bytes_out ~active_edges:0
-      ~messages:0 ~shuffle_groups:0 ~remote_shuffles:0 ~updated:n ~bcast:!bcast
-      ~remote_bcast:!remote_bcast ()
-  in
+  let c = Ledger.counters ledger ~step:1 in
+  let work = c.Ledger.work and bytes_out = c.Ledger.bytes_out in
+  let exec_seen = Array.make cluster.Cluster.executors (-1) in
+  for v = 0 to n - 1 do
+    let mp = Pgraph.master pg v in
+    let mexec = exec_of mp in
+    let set_bytes = float_of_int ((8 * deg v) + cost.Cost_model.msg_wire_overhead_bytes) in
+    work.(mp) <-
+      work.(mp) +. cost.Cost_model.msg_serialize_s
+      +. (float_of_int (deg v) *. cost.Cost_model.array_element_s);
+    if Pgraph.replica_count pg v >= 2 then
+      work.(mp) <- work.(mp) +. cost.Cost_model.cut_vertex_reduce_s;
+    Pgraph.iter_replicas pg v (fun q ->
+        c.bcast <- c.bcast + 1;
+        let e = exec_of q in
+        if e <> mexec && exec_seen.(e) <> v then begin
+          exec_seen.(e) <- v;
+          c.remote_bcast <- c.remote_bcast + 1;
+          bytes_out.(mexec) <- bytes_out.(mexec) +. set_bytes
+        end)
+  done;
+  c.updated <- n;
+  Ledger.stage ledger ~step:1 c;
 
   (* Stage 3 — per-edge set intersection, on canonical (unordered)
      edges so each pair is counted exactly once. This is the compute-
      heavy stage whose stragglers make fine-grain partitioning win. *)
   let counts = Array.make n 0 in
-  let stage3 =
-    let work = Array.make num_partitions 0.0 in
-    let bytes_out = Array.make cluster.Cluster.executors 0.0 in
-    let active = ref 0 in
-    for p = 0 to num_partitions - 1 do
-      Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
-          let canonical =
-            src <> dst && (src < dst || not (Graph.has_edge g ~src:dst ~dst:src))
-          in
-          if not canonical then work.(p) <- work.(p) +. cost.Cost_model.edge_skip_s
-          else begin
-            incr active;
-            (* Intersect small-into-large with binary search, as a hash
-               "contains" probe does in GraphX's VertexSet. *)
-            let sa = adjacency.(src) and sb = adjacency.(dst) in
-            let small, big = if Array.length sa <= Array.length sb then (sa, sb) else (sb, sa) in
-            let probes = ref 0 in
-            Array.iter
-              (fun x ->
-                incr probes;
-                let lo = ref 0 and hi = ref (Array.length big - 1) and found = ref false in
-                while (not !found) && !lo <= !hi do
-                  let mid = (!lo + !hi) / 2 in
-                  let y = big.(mid) in
-                  if y = x then found := true else if y < x then lo := mid + 1 else hi := mid - 1
-                done;
-                (* A triangle is discovered once per edge; demanding the
-                   common neighbour be the largest vertex counts each
-                   triangle exactly once. *)
-                if !found && x > src && x > dst then begin
-                  counts.(src) <- counts.(src) + 1;
-                  counts.(dst) <- counts.(dst) + 1;
-                  counts.(x) <- counts.(x) + 1
-                end)
-              small;
-            work.(p) <-
-              work.(p) +. cost.Cost_model.edge_scan_s
-              +. (float_of_int !probes *. cost.Cost_model.intersect_probe_s)
-          end)
-    done;
-    finish_stage ?telemetry ~cluster ~scale ~cost ~step:2 ~work ~bytes_out ~active_edges:!active
-      ~messages:0 ~shuffle_groups:0 ~remote_shuffles:0 ~updated:0 ~bcast:0 ~remote_bcast:0 ()
-  in
+  let c = Ledger.counters ledger ~step:2 in
+  let work = c.Ledger.work in
+  for p = 0 to num_partitions - 1 do
+    Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
+        let canonical = src <> dst && (src < dst || not (Graph.has_edge g ~src:dst ~dst:src)) in
+        if not canonical then work.(p) <- work.(p) +. cost.Cost_model.edge_skip_s
+        else begin
+          c.active_edges <- c.active_edges + 1;
+          (* Intersect small-into-large with binary search, as a hash
+             "contains" probe does in GraphX's VertexSet. *)
+          let sa = adjacency.(src) and sb = adjacency.(dst) in
+          let small, big = if Array.length sa <= Array.length sb then (sa, sb) else (sb, sa) in
+          let probes = ref 0 in
+          Array.iter
+            (fun x ->
+              incr probes;
+              let lo = ref 0 and hi = ref (Array.length big - 1) and found = ref false in
+              while (not !found) && !lo <= !hi do
+                let mid = (!lo + !hi) / 2 in
+                let y = big.(mid) in
+                if y = x then found := true else if y < x then lo := mid + 1 else hi := mid - 1
+              done;
+              (* A triangle is discovered once per edge; demanding the
+                 common neighbour be the largest vertex counts each
+                 triangle exactly once. *)
+              if !found && x > src && x > dst then begin
+                counts.(src) <- counts.(src) + 1;
+                counts.(dst) <- counts.(dst) + 1;
+                counts.(x) <- counts.(x) + 1
+              end)
+            small;
+          work.(p) <-
+            work.(p) +. cost.Cost_model.edge_scan_s
+            +. (float_of_int !probes *. cost.Cost_model.intersect_probe_s)
+        end)
+  done;
+  Ledger.stage ledger ~step:2 c;
 
   (* Stage 4 — reduce per-vertex counts back at the masters. *)
-  let stage4 =
-    let work = Array.make num_partitions 0.0 in
-    let bytes_out = Array.make cluster.Cluster.executors 0.0 in
-    let groups = ref 0 and remote = ref 0 in
-    for v = 0 to n - 1 do
-      let mexec = exec_of (Pgraph.master pg v) in
-      Pgraph.iter_replicas pg v (fun q ->
-          incr groups;
-          work.(q) <- work.(q) +. cost.Cost_model.msg_serialize_s;
-          if exec_of q <> mexec then begin
-            incr remote;
-            bytes_out.(exec_of q) <-
-              bytes_out.(exec_of q)
-              +. float_of_int (8 + cost.Cost_model.msg_wire_overhead_bytes)
-          end)
-    done;
-    finish_stage ?telemetry ~cluster ~scale ~cost ~step:3 ~work ~bytes_out ~active_edges:0
-      ~messages:!groups ~shuffle_groups:!groups ~remote_shuffles:!remote ~updated:n ~bcast:0
-      ~remote_bcast:0 ()
-  in
+  let c = Ledger.counters ledger ~step:3 in
+  let work = c.Ledger.work and bytes_out = c.Ledger.bytes_out in
+  for v = 0 to n - 1 do
+    let mexec = exec_of (Pgraph.master pg v) in
+    Pgraph.iter_replicas pg v (fun q ->
+        c.shuffle_groups <- c.shuffle_groups + 1;
+        work.(q) <- work.(q) +. cost.Cost_model.msg_serialize_s;
+        if exec_of q <> mexec then begin
+          c.remote_shuffles <- c.remote_shuffles + 1;
+          bytes_out.(exec_of q) <-
+            bytes_out.(exec_of q) +. float_of_int (8 + cost.Cost_model.msg_wire_overhead_bytes)
+        end)
+  done;
+  c.messages <- c.shuffle_groups;
+  c.updated <- n;
+  Ledger.stage ledger ~step:3 c;
 
-  let supersteps = [ stage1; stage2; stage3; stage4 ] in
-  let load_s =
-    scale
-    *. float_of_int (Cutfit_graph.Graph_io.size_bytes g)
-    /. (float_of_int cluster.Cluster.executors *. Cluster.storage_bytes_per_s cluster)
-  in
-  let total_s =
-    List.fold_left (fun acc (s : Trace.superstep) -> acc +. s.time_s) load_s supersteps
-  in
-  let total = Array.fold_left ( + ) 0 counts / 3 in
   let trace =
-    {
-      Trace.supersteps;
-      load_s;
-      checkpoint_s = 0.0;
-      checkpoints = 0;
-      recovery_s = 0.0;
-      recoveries = [];
-      faults_injected = 0;
-      speculations = [];
-      speculation_s = 0.0;
-      reshuffles = [];
-      reshuffle_s = 0.0;
-      total_s;
-      outcome = Trace.Completed;
-      peak_executor_bytes = 0.0;
-      driver_meta_bytes = 0.0;
-    }
+    Ledger.finish ledger ~label:"triangle_count" ~outcome:Trace.Completed ~peak_executor_bytes:0.0
   in
-  (match telemetry with
-  | None -> ()
-  | Some t ->
-      let reg = Obs.Telemetry.metrics t in
-      Obs.Metric.incr (Obs.Metric.counter reg "bsp.runs");
-      Obs.Metric.add (Obs.Metric.counter reg "bsp.messages") (Trace.total_messages trace);
-      Obs.Metric.add
-        (Obs.Metric.counter reg "bsp.remote_messages")
-        (Trace.total_remote_messages trace);
-      Obs.Metric.record (Obs.Metric.timer reg "bsp.simulated_s") trace.Trace.total_s;
-      Obs.Metric.set (Obs.Metric.gauge reg "bsp.last_wire_bytes") (Trace.total_wire_bytes trace);
-      Obs.Metric.add (Obs.Metric.counter reg "bsp.supersteps") (List.length supersteps);
-      Obs.Telemetry.emit t
-        (Obs.Event.Run_end
-           {
-             label = "triangle_count";
-             outcome = Trace.outcome_name Trace.Completed;
-             supersteps = List.length supersteps;
-             total_s;
-             load_s;
-             checkpoint_s = 0.0;
-             recovery_s = 0.0;
-             total_messages = Trace.total_messages trace;
-             total_remote = Trace.total_remote_messages trace;
-             total_wire_bytes = Trace.total_wire_bytes trace;
-           }));
-  { per_vertex = counts; total; trace }
+  { per_vertex = counts; total = Array.fold_left ( + ) 0 counts / 3; trace }

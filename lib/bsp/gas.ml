@@ -23,14 +23,12 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
   let num_partitions = Pgraph.num_partitions pg in
   if cluster.Cluster.num_partitions <> num_partitions then
     invalid_arg "Gas.run: cluster and partitioned graph disagree on partition count";
-  let executors = cluster.Cluster.executors in
-  let cores = cluster.Cluster.cores_per_executor in
-  (* Placement through the elastic runtime, as in Pregel: inert (the
-     static round-robin) unless scale events or hetero are given. *)
-  let ert = Elastic.runtime ?config:elastic ?hetero ~executors () in
-  let max_execs = Elastic.max_executors ert in
+  let ledger =
+    Ledger.create ~scale ~cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
+      ~cluster ~state_bytes:program.state_bytes pg
+  in
+  let ert = Ledger.elastic ledger in
   let exec_of p = Elastic.exec_of ert p in
-  let bandwidth = Cluster.network_bytes_per_s cluster in
 
   let attrs = Array.init n program.init in
   let active = Bytes.make n '\001' in
@@ -46,311 +44,21 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
   let last_step = Array.make n (-1) in
 
   let gather_wire = float_of_int (program.gather_bytes + cost.Cost_model.msg_wire_overhead_bytes) in
-  let attr_wire = float_of_int (program.state_bytes + cost.Cost_model.msg_wire_overhead_bytes) in
+  let attr_wire = Ledger.attr_wire_bytes ledger in
 
-  let steps = ref [] in
-  let driver_meta = ref 0.0 in
-  let outcome = ref Trace.Completed in
-  let checkpoint_s = ref 0.0 and checkpoints = ref 0 in
-  let fsession = Option.map (Faults.session ~executors) faults in
-  let recoveries = ref [] in
-  let recovery_total = ref 0.0 in
-  let faults_injected = ref 0 in
-  let last_ckpt = ref None in
-  let compute_parts_per_exec () =
-    let a = Array.make (Elastic.live ert) 0 in
-    for p = 0 to num_partitions - 1 do
-      a.(exec_of p) <- a.(exec_of p) + 1
-    done;
-    a
-  in
-  let parts_per_exec = ref (compute_parts_per_exec ()) in
-  let speculations = ref [] in
-  let speculation_total = ref 0.0 in
-  let push_speculation (s : Trace.speculation) =
-    speculations := s :: !speculations;
-    speculation_total := !speculation_total +. s.Trace.speculative_compute_s;
-    match telemetry with
-    | None -> ()
-    | Some t ->
-        Obs.Telemetry.emit t
-          (Obs.Event.Speculative_launch
-             {
-               step = s.Trace.at_step;
-               executor = s.Trace.executor;
-               host = s.Trace.host;
-               cloned_partitions = s.Trace.cloned_partitions;
-               original_busy_s = s.Trace.original_busy_s;
-               clone_busy_s = s.Trace.clone_busy_s;
-               wire_bytes = s.Trace.speculative_wire_bytes;
-               compute_s = s.Trace.speculative_compute_s;
-             });
-        if s.Trace.won then
-          Obs.Telemetry.emit t
-            (Obs.Event.Speculative_win
-               {
-                 step = s.Trace.at_step;
-                 executor = s.Trace.executor;
-                 host = s.Trace.host;
-                 saved_s = s.Trace.saved_s;
-               })
-  in
-  let push_recovery (r : Trace.recovery) =
-    recoveries := r :: !recoveries;
-    recovery_total := !recovery_total +. r.Trace.recovery_s;
-    match telemetry with
-    | None -> ()
-    | Some t ->
-        Obs.Telemetry.emit t
-          (Obs.Event.Recovery
-             {
-               step = r.Trace.at_step;
-               kind = r.Trace.kind;
-               executor = r.Trace.executor;
-               replayed_steps = r.Trace.replayed_steps;
-               lost_edges = r.Trace.lost_edges;
-               lost_replicas = r.Trace.lost_replicas;
-               wire_bytes = r.Trace.recovery_wire_bytes;
-               recovery_s = r.Trace.recovery_s;
-             })
-  in
-  let graph_bytes =
-    scale
-    *. (float_of_int (Graph.num_edges g * cost.Cost_model.edge_object_bytes)
-       +. float_of_int (n * (cost.Cost_model.vertex_object_bytes + program.state_bytes)))
-  in
-  let take_checkpoint ~step =
-    incr checkpoints;
-    let write_s =
-      graph_bytes /. (float_of_int executors *. Cluster.storage_bytes_per_s cluster)
-    in
-    checkpoint_s := !checkpoint_s +. write_s;
-    driver_meta := 0.0;
-    last_ckpt := Some step;
-    match telemetry with
-    | None -> ()
-    | Some t ->
-        Obs.Telemetry.emit t (Obs.Event.Checkpoint { step; bytes = graph_bytes; write_s })
-  in
-
-  let finish ~step ~plan ~work ~bytes_out ~bytes_in ~active_edges ~messages ~shuffle_groups
-      ~remote_shuffles ~updated ~bcast ~remote_bcast =
-    let live = Elastic.live ert in
-    let jittered = Cost_model.jittered cost ~step work in
-    let clean_busy = Array.make live 0.0 in
-    let busy = Array.make live 0.0 in
-    for e = 0 to live - 1 do
-      let mine = ref [] in
-      for p = 0 to num_partitions - 1 do
-        if exec_of p = e then mine := jittered.(p) :: !mine
-      done;
-      clean_busy.(e) <-
-        scale *. Cost_model.makespan ~work:(Array.of_list !mine) ~cores /. Elastic.speed_of ert e;
-      (* Fault plans are realized against the initial membership; late
-         joiners past that width run fault-free. *)
-      let fault_factor = if e < executors then plan.Faults.compute_factor e else 1.0 in
-      busy.(e) <- clean_busy.(e) *. fault_factor
-    done;
-    let bandwidth_eff = bandwidth *. plan.Faults.network_factor in
-    (* Same speculation pass as Pregel: decided from the step's own
-       deterministic busy/ingress data, rewriting only the time
-       accounting. *)
-    let busy, spec =
-      match speculation with
-      | Some cfg when step >= 1 ->
-          Speculation.evaluate cfg ~cost ~bandwidth:bandwidth_eff ~step ~busy ~clean_busy
-            ~ingress:(Array.init live (fun e -> scale *. bytes_in.(e)))
-            ~partitions:!parts_per_exec
-      | _ -> (busy, None)
-    in
-    let compute = Array.fold_left Float.max 0.0 busy in
-    let network = ref 0.0 and wire = ref 0.0 in
-    for e = 0 to live - 1 do
-      wire := !wire +. (scale *. bytes_out.(e));
-      let t = scale *. bytes_out.(e) /. (bandwidth_eff *. Elastic.bandwidth_of ert e) in
-      if t > !network then network := t
-    done;
-    let overhead =
-      cost.Cost_model.superstep_barrier_s
-      +. (float_of_int num_partitions *. cost.Cost_model.task_dispatch_s)
-    in
-    driver_meta :=
-      !driver_meta +. (float_of_int num_partitions *. cost.Cost_model.driver_meta_per_task_bytes);
-    let stats =
-      {
-        Trace.step;
-        active_edges;
-        messages;
-        shuffle_groups;
-        remote_shuffles;
-        updated_vertices = updated;
-        broadcast_replicas = bcast;
-        remote_broadcasts = remote_bcast;
-        wire_bytes = !wire;
-        compute_s = compute;
-        network_s = !network;
-        overhead_s = overhead;
-        time_s = Float.max compute !network +. overhead;
-      }
-    in
-    steps := stats :: !steps;
-    (* Same invariant as Pregel: events are built from the counters that
-       formed [stats], never recomputed from static metrics. *)
-    (match telemetry with
-    | None -> ()
-    | Some t ->
-        let max_task = ref 0.0 and min_task = ref Float.infinity in
-        Array.iter
-          (fun w ->
-            let w = scale *. w in
-            if w > !max_task then max_task := w;
-            if w < !min_task then min_task := w)
-          jittered;
-        Obs.Telemetry.emit t
-          (Obs.Event.Superstep
-             {
-               step;
-               active_vertices = updated;
-               active_edges;
-               messages;
-               local_shuffles = shuffle_groups - remote_shuffles;
-               remote_shuffles;
-               broadcast_replicas = bcast;
-               remote_broadcasts = remote_bcast;
-               wire_bytes = stats.Trace.wire_bytes;
-               executor_busy_s = busy;
-               barrier_wait_s = Array.map (fun b -> compute -. b) busy;
-               max_task_s = !max_task;
-               min_task_s = (if num_partitions = 0 then 0.0 else !min_task);
-               compute_s = stats.Trace.compute_s;
-               network_s = stats.Trace.network_s;
-               overhead_s = stats.Trace.overhead_s;
-               time_s = stats.Trace.time_s;
-             }));
-    faults_injected := !faults_injected + List.length plan.Faults.announce;
-    (match telemetry with
-    | None -> ()
-    | Some t ->
-        List.iter
-          (fun (a : Faults.announcement) ->
-            Obs.Telemetry.emit t
-              (Obs.Event.Fault_injected
-                 { step; kind = a.fault_kind; executor = a.fault_executor; detail = a.detail }))
-          plan.Faults.announce);
-    Option.iter push_speculation spec;
-    (match plan.Faults.loss with
-    | None -> ()
-    | Some (e, retries) ->
-        push_recovery
-          (Faults.retry_recovery ~cost ~cluster ~at_step:step ~executor:e
-             ~egress_bytes:(scale *. bytes_out.(e)) ~retries));
-    !driver_meta > cluster.Cluster.driver_memory_bytes
-  in
-
-  (* Build phase, as in the Pregel engine. *)
-  begin
-    let work = Array.make num_partitions 0.0 in
-    let bytes_out = Array.make max_execs 0.0 in
-    let bytes_in = Array.make max_execs 0.0 in
-    let remote_frac = float_of_int (executors - 1) /. float_of_int executors in
-    for p = 0 to num_partitions - 1 do
-      let m_p = float_of_int (Pgraph.num_edges_of_partition pg p) in
-      work.(p) <-
-        (m_p *. cost.Cost_model.build_edge_s)
-        +. (float_of_int (Pgraph.local_vertices pg p) *. cost.Cost_model.build_vertex_s);
-      bytes_out.(exec_of p) <-
-        bytes_out.(exec_of p)
-        +. (m_p *. float_of_int cost.Cost_model.shuffle_edge_bytes *. remote_frac)
-    done;
-    ignore
-      (finish ~step:(-1) ~plan:Faults.neutral ~work ~bytes_out ~bytes_in ~active_edges:0
-         ~messages:0 ~shuffle_groups:0 ~remote_shuffles:0 ~updated:0 ~bcast:0 ~remote_bcast:0)
-  end;
-
-  (* Scale events before each compute superstep, exactly as in Pregel:
-     membership moves are priced re-shuffles, preemptions route through
-     the Faults recovery machinery. Pure re-accounting — values never
-     move. *)
-  let apply_scale_events ~step =
-    Elastic.step_events ert ~step ~num_partitions
-      ~partition_bytes:(fun p ->
-        scale
-        *. (float_of_int (Pgraph.num_edges_of_partition pg p * cost.Cost_model.edge_object_bytes)
-           +. float_of_int
-                (Pgraph.local_vertices pg p
-                * (cost.Cost_model.vertex_object_bytes + program.state_bytes))))
-      ~partition_vertices:(fun p -> Pgraph.local_vertices pg p)
-      ~attr_wire_bytes:attr_wire ~scale ~bandwidth
-      ~barrier_s:cost.Cost_model.superstep_barrier_s
-      ~on_reshuffle:(fun r item ->
-        parts_per_exec := compute_parts_per_exec ();
-        match telemetry with
-        | None -> ()
-        | Some t ->
-            (match item with
-            | Elastic.Join { count; _ } ->
-                Obs.Telemetry.emit t
-                  (Obs.Event.Executor_join { step; count; executors = r.Trace.executors_after })
-            | Elastic.Leave { count; _ } ->
-                Obs.Telemetry.emit t
-                  (Obs.Event.Executor_leave { step; count; executors = r.Trace.executors_after })
-            | Elastic.Preempt _ -> ());
-            Obs.Telemetry.emit t
-              (Obs.Event.Reshuffle
-                 {
-                   step;
-                   executors_before = r.Trace.executors_before;
-                   executors_after = r.Trace.executors_after;
-                   moved_partitions = r.Trace.moved_partitions;
-                   moved_bytes = r.Trace.moved_bytes;
-                   rebroadcast_replicas = r.Trace.rebroadcast_replicas;
-                   rebroadcast_bytes = r.Trace.rebroadcast_bytes;
-                   reshuffle_s = r.Trace.reshuffle_s;
-                 }))
-      ~on_preempt:(fun ~executor ~retries ->
-        incr faults_injected;
-        (match telemetry with
-        | None -> ()
-        | Some t ->
-            Obs.Telemetry.emit t
-              (Obs.Event.Fault_injected
-                 {
-                   step;
-                   kind = "preempt";
-                   executor;
-                   detail =
-                     Printf.sprintf "spot instance preempted, %d reacquisition retr%s" retries
-                       (if retries = 1 then "y" else "ies");
-                 }));
-        let lost_edges = ref 0 and lost_vertices = ref 0 in
-        for p = 0 to num_partitions - 1 do
-          if exec_of p = executor then begin
-            lost_edges := !lost_edges + Pgraph.num_edges_of_partition pg p;
-            lost_vertices := !lost_vertices + Pgraph.local_vertices pg p
-          end
-        done;
-        push_recovery
-          (Faults.preempt_recovery ~cost ~cluster ~scale ~at_step:step ~executor
-             ~lost_edges:!lost_edges ~lost_vertices:!lost_vertices
-             ~lost_replicas:!lost_vertices ~attr_wire_bytes:attr_wire ~retries))
-  in
-
+  Ledger.build ledger;
   let step = ref 0 in
-  let continue = ref true in
-  while !continue do
-    apply_scale_events ~step:!step;
-    let work = Array.make num_partitions 0.0 in
-    let bytes_out = Array.make max_execs 0.0 in
-    let bytes_in = Array.make max_execs 0.0 in
-    let active_edges = ref 0 and messages = ref 0 in
-    let shuffle_groups = ref 0 and remote_shuffles = ref 0 in
+  let outcome = ref None in
+  while Option.is_none !outcome do
+    let c = Ledger.counters ledger ~step:!step in
+    let work = c.Ledger.work and bytes_out = c.Ledger.bytes_out and bytes_in = c.Ledger.bytes_in in
     touched := [];
     (* Gather: mirrors pre-aggregate per partition; one partial sum per
        (vertex, partition) ships to the master. *)
     for p = 0 to num_partitions - 1 do
       let pexec = exec_of p in
       let contribute target value =
-        incr messages;
+        c.messages <- c.messages + 1;
         work.(p) <- work.(p) +. cost.Cost_model.msg_merge_s;
         (match plocal.(target) with
         | None ->
@@ -360,11 +68,11 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
         if last_step.(target) <> !step || last_part.(target) <> p then begin
           last_step.(target) <- !step;
           last_part.(target) <- p;
-          incr shuffle_groups;
+          c.shuffle_groups <- c.shuffle_groups + 1;
           work.(p) <- work.(p) +. cost.Cost_model.msg_serialize_s;
           let mp = Pgraph.master pg target in
           if exec_of mp <> pexec then begin
-            incr remote_shuffles;
+            c.remote_shuffles <- c.remote_shuffles + 1;
             bytes_out.(pexec) <- bytes_out.(pexec) +. gather_wire;
             bytes_in.(exec_of mp) <- bytes_in.(exec_of mp) +. gather_wire;
             work.(mp) <- work.(mp) +. cost.Cost_model.msg_serialize_s
@@ -379,7 +87,7 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
             (program.direction = Gather_out || program.direction = Gather_both) && is_active src
           in
           if dst_gathers || src_gathers then begin
-            incr active_edges;
+            c.active_edges <- c.active_edges + 1;
             work.(p) <- work.(p) +. cost.Cost_model.edge_scan_s;
             let emit target =
               match
@@ -412,7 +120,6 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
     done;
     (* Apply at masters: every active vertex recomputes, whether or not
        an edge contributed. Scatter ships changed state to mirrors. *)
-    let updated = ref 0 and bcast = ref 0 and remote_bcast = ref 0 in
     let next_active = Bytes.make n '\000' in
     let apply_vertex v =
       let total = acc.(v) in
@@ -424,13 +131,13 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
       let mp = Pgraph.master pg v in
       work.(mp) <- work.(mp) +. cost.Cost_model.vprog_s;
       if changed then begin
-        incr updated;
+        c.updated <- c.updated + 1;
         let mexec = exec_of mp in
         Pgraph.iter_replicas pg v (fun q ->
-            incr bcast;
+            c.bcast <- c.bcast + 1;
             work.(mp) <- work.(mp) +. cost.Cost_model.msg_serialize_s;
             if exec_of q <> mexec then begin
-              incr remote_bcast;
+              c.remote_bcast <- c.remote_bcast + 1;
               bytes_out.(mexec) <- bytes_out.(mexec) +. attr_wire;
               bytes_in.(exec_of q) <- bytes_in.(exec_of q) +. attr_wire
             end);
@@ -449,146 +156,21 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
        sync-GAS; clear their leftovers. *)
     List.iter (fun v -> acc.(v) <- None) !touched;
     Bytes.blit next_active 0 active 0 n;
-    let plan =
-      match fsession with
-      | None -> Faults.neutral
-      | Some s -> Faults.plan s ~step:!step
-    in
-    let hit_driver =
-      finish ~step:!step ~plan ~work ~bytes_out ~bytes_in ~active_edges:!active_edges
-        ~messages:!messages ~shuffle_groups:!shuffle_groups ~remote_shuffles:!remote_shuffles
-        ~updated:!updated ~bcast:!bcast ~remote_bcast:!remote_bcast
-    in
-    let hit_driver =
-      match checkpoint_every with
-      | Some k when !step >= 1 && !step mod k = 0 ->
-          take_checkpoint ~step:!step;
-          false
-      | _ -> hit_driver
-    in
-    (* Same crash semantics as Pregel: recovery is pure re-accounting, so
-       the converged values never change. *)
-    let aborted = ref false in
-    (match (plan.Faults.crash, fsession) with
-    | Some lost, Some fs -> (
-        (* Crash executors were resolved against the initial membership;
-           fold them onto a live executor if leaves shrank the cluster. *)
-        let lost = lost mod Elastic.live ert in
-        match Faults.note_crash fs with
-        | `Abort -> aborted := true
-        | `Recover -> (
-            match (Faults.session_config fs).Faults.mode with
-            | Faults.Rollback ->
-                let replayed =
-                  match !last_ckpt with
-                  | Some c ->
-                      List.filter (fun (s : Trace.superstep) -> s.Trace.step > c) !steps
-                  | None -> !steps
-                in
-                push_recovery
-                  (Faults.rollback_recovery ~cluster ~at_step:!step ~executor:lost
-                     ~checkpointed:(!last_ckpt <> None) ~graph_bytes
-                     ~load_s:
-                       (scale
-                       *. float_of_int (Cutfit_graph.Graph_io.size_bytes g)
-                       /. (float_of_int executors *. Cluster.storage_bytes_per_s cluster))
-                     ~replayed)
-            | Faults.Lineage ->
-                let lost_edges = ref 0 and lost_vertices = ref 0 in
-                for p = 0 to num_partitions - 1 do
-                  if exec_of p = lost then begin
-                    lost_edges := !lost_edges + Pgraph.num_edges_of_partition pg p;
-                    lost_vertices := !lost_vertices + Pgraph.local_vertices pg p
-                  end
-                done;
-                push_recovery
-                  (Faults.lineage_recovery ~cost ~cluster ~scale ~at_step:!step ~executor:lost
-                     ~lost_edges:!lost_edges ~lost_vertices:!lost_vertices
-                     ~lost_replicas:!lost_vertices ~attr_wire_bytes:attr_wire)))
-    | _ -> ());
+    let stop = Ledger.superstep ledger ~step:!step c in
     let any_active =
       let rec scan v = v < n && (is_active v || scan (v + 1)) in
       scan 0
     in
-    if hit_driver then begin
-      outcome := Trace.Out_of_memory;
-      continue := false
-    end
-    else if !aborted then begin
-      outcome := Trace.Aborted;
-      continue := false
-    end
-    else if not any_active then begin
-      outcome := Trace.Completed;
-      continue := false
-    end
-    else if !step + 1 >= max_iterations then begin
-      outcome := Trace.Max_supersteps;
-      continue := false
-    end
-    else incr step
+    outcome :=
+      if Option.is_some stop then stop
+      else if not any_active then Some Trace.Completed
+      else if !step + 1 >= max_iterations then Some Trace.Max_supersteps
+      else begin
+        incr step;
+        None
+      end
   done;
-
-  let load_s =
-    scale
-    *. float_of_int (Cutfit_graph.Graph_io.size_bytes g)
-    /. (float_of_int executors *. Cluster.storage_bytes_per_s cluster)
-  in
-  let supersteps = List.rev !steps in
-  let total_s =
-    List.fold_left
-      (fun a (s : Trace.superstep) -> a +. s.time_s)
-      (load_s +. !checkpoint_s +. !recovery_total +. Elastic.reshuffle_s ert)
-      supersteps
-  in
-  let trace =
-    {
-      Trace.supersteps;
-      load_s;
-      checkpoint_s = !checkpoint_s;
-      checkpoints = !checkpoints;
-      recovery_s = !recovery_total;
-      recoveries = List.rev !recoveries;
-      faults_injected = !faults_injected;
-      speculations = List.rev !speculations;
-      speculation_s = !speculation_total;
-      reshuffles = Elastic.reshuffles ert;
-      reshuffle_s = Elastic.reshuffle_s ert;
-      total_s;
-      outcome = !outcome;
-      peak_executor_bytes = 0.0;
-      driver_meta_bytes = !driver_meta;
-    }
-  in
-  (match telemetry with
-  | None -> ()
-  | Some t ->
-      let reg = Obs.Telemetry.metrics t in
-      Obs.Metric.incr (Obs.Metric.counter reg "bsp.runs");
-      Obs.Metric.add (Obs.Metric.counter reg "bsp.messages") (Trace.total_messages trace);
-      Obs.Metric.add
-        (Obs.Metric.counter reg "bsp.remote_messages")
-        (Trace.total_remote_messages trace);
-      Obs.Metric.record (Obs.Metric.timer reg "bsp.simulated_s") trace.Trace.total_s;
-      Obs.Metric.set (Obs.Metric.gauge reg "bsp.last_wire_bytes") (Trace.total_wire_bytes trace);
-      let compute_steps =
-        List.fold_left
-          (fun acc (s : Trace.superstep) -> if s.Trace.step >= 0 then acc + 1 else acc)
-          0 supersteps
-      in
-      Obs.Metric.add (Obs.Metric.counter reg "bsp.supersteps") compute_steps;
-      Obs.Telemetry.emit t
-        (Obs.Event.Run_end
-           {
-             label = "gas";
-             outcome = Trace.outcome_name !outcome;
-             supersteps = compute_steps;
-             total_s;
-             load_s;
-             checkpoint_s = !checkpoint_s;
-             recovery_s = !recovery_total;
-             total_messages = Trace.total_messages trace;
-             total_remote = Trace.total_remote_messages trace;
-             total_wire_bytes = Trace.total_wire_bytes trace;
-           }));
-  { attrs; trace }
+  (* No executor-resident memory model: only the driver limit stops a
+     GAS run. *)
+  let outcome = Option.get !outcome in
+  { attrs; trace = Ledger.finish ledger ~label:"gas" ~outcome ~peak_executor_bytes:0.0 }

@@ -19,9 +19,16 @@
       so data-driven programs propagate even when [apply] deactivates
       the vertex itself.
 
-    Costs are accounted with the same cluster model as {!Pregel}
-    (makespan with jitter, overlapped network, task overheads, driver
-    lineage), so times from the two engines are directly comparable. *)
+    Costs are accounted by the same {!Ledger} as {!Pregel} (makespan
+    with jitter, overlapped network, task overheads, driver lineage,
+    faults, speculation, elasticity), so times from the two engines are
+    directly comparable. The engines differ in two places:
+    - GAS has no executor-resident memory model: its traces report
+      [peak_executor_bytes = 0] and only the driver's lineage limit can
+      end a run with [Out_of_memory];
+    - GAS has no separate broadcast superstep 0: its compute supersteps
+      start at step 0, and checkpoints (every [checkpoint_every] steps)
+      are taken from step 1, as in {!Pregel}. *)
 
 type direction = Gather_in | Gather_out | Gather_both
 

@@ -22,7 +22,11 @@
     is per-executor egress bytes over the NIC, and fixed task-dispatch
     and barrier overheads are added — so granularity, stragglers,
     communication volume and infrastructure speed all shape the result,
-    exactly the effects the paper studies. *)
+    exactly the effects the paper studies. The engine only computes
+    values and fills the step's counters; {!Ledger} prices them, and
+    owns faults, speculation, elasticity and telemetry. Unlike {!Gas},
+    Pregel also models each executor's resident graph partitions: when
+    their peak exceeds executor memory the run ends [Out_of_memory]. *)
 
 type direction = To_src | To_dst
 
