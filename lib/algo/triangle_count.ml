@@ -114,7 +114,7 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
   (* Stage 1 — collect neighbour ids: every edge contributes both
      endpoint ids; partials are merged per partition and reduced at each
      vertex's master, where cut vertices pay the heavy array-merge. *)
-  let c = Ledger.counters ledger ~step:0 in
+  let c = Ledger.open_stage ledger ~step:0 in
   let work = c.Ledger.work and bytes_out = c.Ledger.bytes_out in
   for p = 0 to num_partitions - 1 do
     let pexec = exec_of p in
@@ -155,7 +155,7 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
      executor (partitions on one machine share the block-manager copy),
      so the wire cost tracks graph size, while the per-cut-vertex
      serialization overhead tracks the Cut metric. *)
-  let c = Ledger.counters ledger ~step:1 in
+  let c = Ledger.open_stage ledger ~step:1 in
   let work = c.Ledger.work and bytes_out = c.Ledger.bytes_out in
   let exec_seen = Array.make cluster.Cluster.executors (-1) in
   for v = 0 to n - 1 do
@@ -183,7 +183,7 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
      edges so each pair is counted exactly once. This is the compute-
      heavy stage whose stragglers make fine-grain partitioning win. *)
   let counts = Array.make n 0 in
-  let c = Ledger.counters ledger ~step:2 in
+  let c = Ledger.open_stage ledger ~step:2 in
   let work = c.Ledger.work in
   for p = 0 to num_partitions - 1 do
     Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
@@ -222,7 +222,7 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
   Ledger.stage ledger ~step:2 c;
 
   (* Stage 4 — reduce per-vertex counts back at the masters. *)
-  let c = Ledger.counters ledger ~step:3 in
+  let c = Ledger.open_stage ledger ~step:3 in
   let work = c.Ledger.work and bytes_out = c.Ledger.bytes_out in
   for v = 0 to n - 1 do
     let mexec = exec_of (Pgraph.master pg v) in

@@ -50,7 +50,7 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
   let step = ref 0 in
   let outcome = ref None in
   while Option.is_none !outcome do
-    let c = Ledger.counters ledger ~step:!step in
+    let c = Ledger.open_stage ledger ~step:!step in
     let work = c.Ledger.work and bytes_out = c.Ledger.bytes_out and bytes_in = c.Ledger.bytes_in in
     touched := [];
     (* Gather: mirrors pre-aggregate per partition; one partial sum per

@@ -27,6 +27,7 @@ type t = {
   state_bytes : int;
   attr_wire : float;
   graph_bytes : float;
+  storage_s : float;  (** aggregate storage-tier bandwidth *)
   load_s : float;
   mutable parts_per_exec : int array;
   mutable steps : Trace.superstep list;  (** newest first *)
@@ -88,6 +89,7 @@ let create ~scale ~cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero 
         *. (float_of_int (Graph.num_edges g * cost.Cost_model.edge_object_bytes)
            +. float_of_int
                 (Graph.num_vertices g * (cost.Cost_model.vertex_object_bytes + state_bytes)));
+      storage_s;
       load_s = scale *. float_of_int (Cutfit_graph.Graph_io.size_bytes g) /. storage_s;
       parts_per_exec = [||];
       steps = [];
@@ -164,8 +166,9 @@ let lost_on t e =
    (membership unchanged). Both are pure re-accounting — the vertex
    values never move. *)
 let scale_events t ~step =
-  Elastic.step_events t.ert ~step ~num_partitions:(num_partitions t) ~partition_bytes:(partition_bytes t)
-    ~partition_vertices:(Pgraph.local_vertices t.pg) ~attr_wire_bytes:t.attr_wire ~scale:t.scale
+  Elastic.step_events t.ert ~step ~num_partitions:(num_partitions t)
+    ~partition_bytes:(partition_bytes t) ~partition_vertices:(Pgraph.local_vertices t.pg)
+    ~attr_wire_bytes:t.attr_wire ~scale:t.scale
     ~bandwidth:(Cluster.network_bytes_per_s t.cluster)
     ~barrier_s:t.cost.Cost_model.superstep_barrier_s
     ~on_reshuffle:(fun r item ->
@@ -205,7 +208,7 @@ let scale_events t ~step =
            ~executor ~lost_edges ~lost_vertices ~lost_replicas:lost_vertices
            ~attr_wire_bytes:t.attr_wire ~retries))
 
-let counters t ~step =
+let open_stage t ~step =
   scale_events t ~step;
   let max_execs = Elastic.max_executors t.ert in
   {
@@ -348,10 +351,7 @@ let stage t ~step c = record t ~step ~plan:Faults.neutral c
 
 let checkpoint t ~step =
   t.checkpoints <- t.checkpoints + 1;
-  let write_s =
-    t.graph_bytes
-    /. (float_of_int t.cluster.Cluster.executors *. Cluster.storage_bytes_per_s t.cluster)
-  in
+  let write_s = t.graph_bytes /. t.storage_s in
   t.checkpoint_s <- t.checkpoint_s +. write_s;
   t.driver_meta <- 0.0;
   t.last_ckpt <- Some step;
@@ -415,7 +415,7 @@ let superstep t ~step c =
    One-time, but a large share of short jobs, as in Spark. *)
 let build t =
   let cost = t.cost in
-  let c = counters t ~step:(-1) in
+  let c = open_stage t ~step:(-1) in
   let executors = t.cluster.Cluster.executors in
   (* Edges arrive from the loading executors; on average
      (executors-1)/executors of them cross the network. *)

@@ -58,7 +58,7 @@ val create :
 
 val elastic : t -> Elastic.runtime
 (** The placement engines consult for [exec_of]; it moves only inside
-    {!counters}, when scale events fire. *)
+    {!open_stage}, when scale events fire. *)
 
 val attr_wire_bytes : t -> float
 (** Wire bytes of one vertex attribute (payload plus framing). *)
@@ -66,7 +66,7 @@ val attr_wire_bytes : t -> float
 val partition_bytes : t -> int -> float
 (** Scaled resident bytes of one partition's edges and vertex views. *)
 
-val counters : t -> step:int -> counters
+val open_stage : t -> step:int -> counters
 (** Apply the scale events scheduled before [step], then hand out zeroed
     counters for it. *)
 

@@ -113,7 +113,7 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
   Ledger.build ledger;
   (* Superstep 0: vprog everywhere with the initial message, then a full
      broadcast materializes the replicated vertex views. *)
-  let c = Ledger.counters ledger ~step:0 in
+  let c = Ledger.open_stage ledger ~step:0 in
   for v = 0 to n - 1 do
     attrs.(v) <- program.vprog v attrs.(v) program.initial_msg;
     Bytes.unsafe_set active v '\001'
@@ -126,7 +126,7 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
 
   let step = ref 1 in
   while Option.is_none !outcome do
-    let c = Ledger.counters ledger ~step:!step in
+    let c = Ledger.open_stage ledger ~step:!step in
     let work = c.Ledger.work and bytes_out = c.Ledger.bytes_out and bytes_in = c.Ledger.bytes_in in
     Ivec.clear touched;
     (* Message generation, partition by partition. *)
