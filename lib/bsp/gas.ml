@@ -1,5 +1,4 @@
 module Graph = Cutfit_graph.Graph
-module Obs = Cutfit_obs
 
 type direction = Gather_in | Gather_out | Gather_both
 

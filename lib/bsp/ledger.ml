@@ -428,6 +428,7 @@ let build t =
     c.bytes_out.(e) <-
       c.bytes_out.(e) +. (m_p *. float_of_int cost.Cost_model.shuffle_edge_bytes *. remote_frac)
   done;
+  (* The driver's lineage limit is first enforced after superstep 0. *)
   ignore (superstep t ~step:(-1) c)
 
 let finish t ~label ~outcome ~peak_executor_bytes =

@@ -1,5 +1,4 @@
 module Graph = Cutfit_graph.Graph
-module Obs = Cutfit_obs
 
 type direction = To_src | To_dst
 
