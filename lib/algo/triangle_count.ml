@@ -7,15 +7,55 @@ module Ledger = Cutfit_bsp.Ledger
 
 type result = { per_vertex : int array; total : int; trace : Trace.t }
 
+(* --- the intersection, shared by both engines ---------------------
+
+   A canonical edge is counted once per unordered pair: a self-loop
+   never is, and a reciprocated pair only from its smaller endpoint.
+   Duplicate edges stay, so a canonical edge that appears twice counts
+   its triangles twice. *)
+let canonical g ~src ~dst = src <> dst && (src < dst || not (Graph.has_edge g ~src:dst ~dst:src))
+
+(* First index of the ascending slice [adj.(lo .. hi - 1)] holding a
+   value above [m]. *)
+let first_above adj lo hi m =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get adj mid <= m then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The triangles edge [src]-[dst] closes at a common neighbour above
+   both endpoints (so each triangle is found once, from its two smaller
+   vertices), added to all three vertices' [counts]. [off]/[adj] is the
+   sorted, deduplicated undirected adjacency; the two neighbour lists
+   are merged from where their values pass [max src dst]. *)
+let count_closing ~off ~(adj : int array) counts ~src ~dst =
+  let m = if src > dst then src else dst in
+  let ahi = off.(src + 1) and bhi = off.(dst + 1) in
+  let a = ref (first_above adj off.(src) ahi m) and b = ref (first_above adj off.(dst) bhi m) in
+  let found = ref 0 in
+  while !a < ahi && !b < bhi do
+    let x = Array.unsafe_get adj !a and y = Array.unsafe_get adj !b in
+    if x = y then begin
+      counts.(x) <- counts.(x) + 1;
+      incr found;
+      incr a;
+      incr b
+    end
+    else if x < y then incr a
+    else incr b
+  done;
+  counts.(src) <- counts.(src) + !found;
+  counts.(dst) <- counts.(dst) + !found
+
 (* --- compact CSR kernel -------------------------------------------
 
-   The stage-3 intersection work of [run], executed for real: canonical
-   edges of each partition intersect their endpoints' sorted undirected
-   neighbour lists (flattened to one offsets + one adjacency buffer).
-   Counts are plain int sums — exact under any accumulation order — so
-   each worker counts into its own array and the arrays are summed
-   per-vertex afterwards; no ordering discipline is needed for
-   bit-identical totals. *)
+   The stage-3 intersection work of [run], executed for real over the
+   partitions of the compact layout. Counts are plain int sums — exact
+   under any accumulation order — so each worker counts into its own
+   array and the arrays are summed per-vertex afterwards; no ordering
+   discipline is needed for bit-identical totals. *)
 
 module Csr = Cutfit_bsp.Csr
 module Par_exec = Cutfit_bsp.Par_exec
@@ -23,60 +63,19 @@ module B1 = Bigarray.Array1
 
 let csr_chunk = 4096
 
-let run_csr ?(domains = 1) (c : Csr.t) =
+let count_partition und (c : Csr.t) counts p =
   let g = c.Csr.graph in
-  let n = c.Csr.num_vertices in
-  let parts = c.Csr.num_partitions in
-  let part_off = c.Csr.part_off in
+  let off = Graph.out_offsets und and adj = Graph.out_adjacency und in
   let esrc = c.Csr.edge_src and edst = c.Csr.edge_dst in
-  (* Flatten the symmetrized adjacency once: und_adj.(und_off v ..) is
-     vertex v's sorted, deduplicated undirected neighbour list. *)
-  let und = Graph.symmetrize g in
-  let und_off = B1.create Bigarray.int Bigarray.c_layout (n + 1) in
-  B1.unsafe_set und_off 0 0;
-  for v = 0 to n - 1 do
-    B1.unsafe_set und_off (v + 1) (B1.unsafe_get und_off v + Graph.out_degree und v)
-  done;
-  let und_adj = B1.create Bigarray.int Bigarray.c_layout (B1.unsafe_get und_off n) in
-  for v = 0 to n - 1 do
-    let i = ref (B1.unsafe_get und_off v) in
-    Graph.iter_out und v (fun u ->
-        B1.unsafe_set und_adj !i u;
-        incr i)
-  done;
+  for e = B1.unsafe_get c.Csr.part_off p to B1.unsafe_get c.Csr.part_off (p + 1) - 1 do
+    let src = B1.unsafe_get esrc e and dst = B1.unsafe_get edst e in
+    if canonical g ~src ~dst then count_closing ~off ~adj counts ~src ~dst
+  done
+
+let run_csr ?(domains = 1) (c : Csr.t) =
+  let n = c.Csr.num_vertices in
+  let und = Graph.symmetrize c.Csr.graph in
   let worker_counts = Array.init domains (fun _ -> Array.make n 0) in
-  let scatter w p =
-    let counts = worker_counts.(w) in
-    for e = B1.unsafe_get part_off p to B1.unsafe_get part_off (p + 1) - 1 do
-      let src = B1.unsafe_get esrc e and dst = B1.unsafe_get edst e in
-      let canonical = src <> dst && (src < dst || not (Graph.has_edge g ~src:dst ~dst:src)) in
-      if canonical then begin
-        let alo = B1.unsafe_get und_off src and ahi = B1.unsafe_get und_off (src + 1) in
-        let blo = B1.unsafe_get und_off dst and bhi = B1.unsafe_get und_off (dst + 1) in
-        (* Intersect small-into-large with binary search, as [run]'s
-           stage 3 does on its boxed adjacency arrays. *)
-        let slo, shi, glo, ghi =
-          if ahi - alo <= bhi - blo then (alo, ahi, blo, bhi) else (blo, bhi, alo, ahi)
-        in
-        for i = slo to shi - 1 do
-          let x = B1.unsafe_get und_adj i in
-          if x > src && x > dst then begin
-            let lo = ref glo and hi = ref (ghi - 1) and found = ref false in
-            while (not !found) && !lo <= !hi do
-              let mid = (!lo + !hi) / 2 in
-              let y = B1.unsafe_get und_adj mid in
-              if y = x then found := true else if y < x then lo := mid + 1 else hi := mid - 1
-            done;
-            if !found then begin
-              counts.(src) <- counts.(src) + 1;
-              counts.(dst) <- counts.(dst) + 1;
-              counts.(x) <- counts.(x) + 1
-            end
-          end
-        done
-      end
-    done
-  in
   let per_vertex = Array.make n 0 in
   let nchunks = (n + csr_chunk - 1) / csr_chunk in
   let reduce ch =
@@ -90,7 +89,8 @@ let run_csr ?(domains = 1) (c : Csr.t) =
     done
   in
   Par_exec.with_pool ~domains (fun pool ->
-      Par_exec.iter pool ~n:parts scatter;
+      Par_exec.iter pool ~n:c.Csr.num_partitions (fun w p ->
+          count_partition und c worker_counts.(w) p);
       Par_exec.iter pool ~n:nchunks (fun _ ch -> reduce ch));
   (per_vertex, Array.fold_left ( + ) 0 per_vertex / 3)
 
@@ -103,9 +103,6 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
   let und = match undirected with Some u -> u | None -> Graph.symmetrize g in
   if Graph.num_vertices und <> n then invalid_arg "Triangle_count.run: undirected view mismatch";
   let deg v = Graph.out_degree und v in
-  (* Materialize each vertex's sorted neighbour set once; fetching a
-     fresh copy per edge would cost O(sum deg^2) allocation. *)
-  let adjacency = Array.init n (Graph.out_neighbors und) in
   let exec_of = Cluster.executor_of_partition cluster in
   (* A fixed dataflow: no build stage, faults, speculation, checkpoints
      or driver lineage — only the ledger's stage time composition. *)
@@ -183,40 +180,23 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
      edges so each pair is counted exactly once. This is the compute-
      heavy stage whose stragglers make fine-grain partitioning win. *)
   let counts = Array.make n 0 in
+  let off = Graph.out_offsets und and adj = Graph.out_adjacency und in
   let c = Ledger.open_stage ledger ~step:2 in
   let work = c.Ledger.work in
   for p = 0 to num_partitions - 1 do
     Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
-        let canonical = src <> dst && (src < dst || not (Graph.has_edge g ~src:dst ~dst:src)) in
-        if not canonical then work.(p) <- work.(p) +. cost.Cost_model.edge_skip_s
+        if not (canonical g ~src ~dst) then work.(p) <- work.(p) +. cost.Cost_model.edge_skip_s
         else begin
           c.active_edges <- c.active_edges + 1;
-          (* Intersect small-into-large with binary search, as a hash
-             "contains" probe does in GraphX's VertexSet. *)
-          let sa = adjacency.(src) and sb = adjacency.(dst) in
-          let small, big = if Array.length sa <= Array.length sb then (sa, sb) else (sb, sa) in
-          let probes = ref 0 in
-          Array.iter
-            (fun x ->
-              incr probes;
-              let lo = ref 0 and hi = ref (Array.length big - 1) and found = ref false in
-              while (not !found) && !lo <= !hi do
-                let mid = (!lo + !hi) / 2 in
-                let y = big.(mid) in
-                if y = x then found := true else if y < x then lo := mid + 1 else hi := mid - 1
-              done;
-              (* A triangle is discovered once per edge; demanding the
-                 common neighbour be the largest vertex counts each
-                 triangle exactly once. *)
-              if !found && x > src && x > dst then begin
-                counts.(src) <- counts.(src) + 1;
-                counts.(dst) <- counts.(dst) + 1;
-                counts.(x) <- counts.(x) + 1
-              end)
-            small;
+          (* Modelled as GraphX's VertexSet probe: one hash "contains"
+             per element of the smaller set. The cost comes from the
+             degrees alone, whatever the real intersection does. *)
+          let ds = deg src and dd = deg dst in
+          let probes = if ds <= dd then ds else dd in
+          count_closing ~off ~adj counts ~src ~dst;
           work.(p) <-
             work.(p) +. cost.Cost_model.edge_scan_s
-            +. (float_of_int !probes *. cost.Cost_model.intersect_probe_s)
+            +. (float_of_int probes *. cost.Cost_model.intersect_probe_s)
         end)
   done;
   Ledger.stage ledger ~step:2 c;

@@ -32,3 +32,11 @@ val run_csr : ?domains:int -> Cutfit_bsp.Csr.t -> int array * int
     compact {!Cutfit_bsp.Csr} layout (the stage-3 intersections,
     without the simulated dataflow trace); identical to {!run}'s counts
     at any [domains] (default 1) since int sums are order-exact. *)
+
+val count_partition :
+  Cutfit_graph.Graph.t -> Cutfit_bsp.Csr.t -> int array -> int -> unit
+(** [count_partition und c counts p] is {!run_csr}'s per-partition
+    scatter: every canonical edge of partition [p] adds the triangles it
+    closes into [counts] (one slot per vertex). [und] must be
+    [Graph.symmetrize] of [c]'s graph. Writes only [counts], so workers
+    that each own a [counts] array may run partitions concurrently. *)

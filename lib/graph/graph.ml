@@ -8,33 +8,28 @@ type t = {
   in_adj : int array;
 }
 
-(* Build one direction of CSR adjacency with a counting sort, then sort
-   each bucket so membership tests can binary-search. *)
-let build_csr n keys values =
-  let m = Array.length keys in
+(* CSR offsets of a counting sort on [keys]: bucket [v] is
+   [off.(v) .. off.(v + 1) - 1]. *)
+let offsets n keys =
   let off = Array.make (n + 1) 0 in
-  for i = 0 to m - 1 do
-    off.(keys.(i) + 1) <- off.(keys.(i) + 1) + 1
-  done;
+  Array.iter (fun k -> off.(k + 1) <- off.(k + 1) + 1) keys;
   for v = 1 to n do
     off.(v) <- off.(v) + off.(v - 1)
   done;
-  let adj = Array.make m 0 in
-  let cursor = Array.copy off in
-  for i = 0 to m - 1 do
-    let k = keys.(i) in
-    adj.(cursor.(k)) <- values.(i);
-    cursor.(k) <- cursor.(k) + 1
-  done;
+  off
+
+(* Transpose one CSR direction into the other: for every row [v] in
+   ascending order, append [v] to the bucket of each entry of that row.
+   Walking rows in order leaves every bucket of [adj] ascending. *)
+let transpose n ~row_off ~row_adj ~off adj =
+  let cursor = Array.sub off 0 n in
   for v = 0 to n - 1 do
-    let lo = off.(v) and hi = off.(v + 1) in
-    if hi - lo > 1 then begin
-      let slice = Array.sub adj lo (hi - lo) in
-      Array.sort compare slice;
-      Array.blit slice 0 adj lo (hi - lo)
-    end
-  done;
-  (off, adj)
+    for i = row_off.(v) to row_off.(v + 1) - 1 do
+      let k = row_adj.(i) in
+      adj.(cursor.(k)) <- v;
+      cursor.(k) <- cursor.(k) + 1
+    done
+  done
 
 let create ~n ~src ~dst =
   if Array.length src <> Array.length dst then
@@ -42,8 +37,22 @@ let create ~n ~src ~dst =
   if n < 0 then invalid_arg "Graph.create: negative vertex count";
   Array.iter (fun v -> if v < 0 || v >= n then invalid_arg "Graph.create: src out of range") src;
   Array.iter (fun v -> if v < 0 || v >= n then invalid_arg "Graph.create: dst out of range") dst;
-  let out_off, out_adj = build_csr n src dst in
-  let in_off, in_adj = build_csr n dst src in
+  let m = Array.length src in
+  let out_off = offsets n src and in_off = offsets n dst in
+  (* Three stable counting passes, no comparison sort: bucket the
+     sources by destination in build order; walking those buckets by
+     destination fills each out-bucket in ascending order; walking the
+     sorted out-buckets by source refills the in-buckets sorted. *)
+  let in_adj = Array.make m 0 in
+  let cursor = Array.sub in_off 0 n in
+  for i = 0 to m - 1 do
+    let d = dst.(i) in
+    in_adj.(cursor.(d)) <- src.(i);
+    cursor.(d) <- cursor.(d) + 1
+  done;
+  let out_adj = Array.make m 0 in
+  transpose n ~row_off:in_off ~row_adj:in_adj ~off:out_off out_adj;
+  transpose n ~row_off:out_off ~row_adj:out_adj ~off:in_off in_adj;
   { n; src; dst; out_off; out_adj; in_off; in_adj }
 
 let of_edge_list ~n el =
@@ -56,6 +65,8 @@ let edge_src t i = t.src.(i)
 let edge_dst t i = t.dst.(i)
 let src_array t = t.src
 let dst_array t = t.dst
+let out_offsets t = t.out_off
+let out_adjacency t = t.out_adj
 let out_degree t v = t.out_off.(v + 1) - t.out_off.(v)
 let in_degree t v = t.in_off.(v + 1) - t.in_off.(v)
 
@@ -97,10 +108,40 @@ let iter_edges t f =
     f ~src:t.src.(i) ~dst:t.dst.(i)
   done
 
+(* [v]'s undirected neighbours: the merge of its sorted out- and
+   in-lists, each neighbour once, without [v] itself. *)
+let iter_undirected t v f =
+  let a = ref t.out_off.(v) and b = ref t.in_off.(v) in
+  let ae = t.out_off.(v + 1) and be = t.in_off.(v + 1) in
+  let last = ref v in
+  while !a < ae || !b < be do
+    let from_out = !b >= be || (!a < ae && t.out_adj.(!a) <= t.in_adj.(!b)) in
+    let x = if from_out then t.out_adj.(!a) else t.in_adj.(!b) in
+    if from_out then incr a else incr b;
+    if x <> !last && x <> v then f x;
+    last := x
+  done
+
 let symmetrize t =
-  let el = Edge_list.create ~capacity:(max 1 (num_edges t)) () in
-  iter_edges t (fun ~src ~dst -> Edge_list.add el ~src ~dst);
-  of_edge_list ~n:t.n (Edge_list.symmetrize el)
+  let n = t.n in
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    let d = ref 0 in
+    iter_undirected t v (fun _ -> incr d);
+    off.(v + 1) <- off.(v) + !d
+  done;
+  let src = Array.make off.(n) 0 and adj = Array.make off.(n) 0 in
+  for v = 0 to n - 1 do
+    let i = ref off.(v) in
+    iter_undirected t v (fun u ->
+        src.(!i) <- v;
+        adj.(!i) <- u;
+        incr i)
+  done;
+  (* Edges come out in (src, dst) order, so the destination array is the
+     out-adjacency; the graph is symmetric, so in-adjacency equals
+     out-adjacency. All three share one array. *)
+  { n; src; dst = adj; out_off = off; out_adj = adj; in_off = off; in_adj = adj }
 
 let is_symmetric t =
   let ok = ref true in

@@ -12,7 +12,8 @@ type t
 val create : n:int -> src:int array -> dst:int array -> t
 (** [create ~n ~src ~dst] freezes the given edge arrays into a graph
     with [n] vertices. The arrays must have equal length and every
-    endpoint must lie in [\[0, n)].
+    endpoint must lie in [\[0, n)]. Duplicate edges are kept. The sorted
+    adjacency is built by counting passes, in O(n + m).
     @raise Invalid_argument otherwise. *)
 
 val of_edge_list : n:int -> Edge_list.t -> t
@@ -33,6 +34,15 @@ val src_array : t -> int array
 (* lint: unused-export -- raw-array escape hatch for bulk consumers *)
 val dst_array : t -> int array
 (** The underlying destination array; do not mutate. *)
+
+val out_offsets : t -> int array
+(** The underlying out-CSR offsets ([n + 1] entries): [v]'s
+    out-neighbours are [out_adjacency t] from index [(out_offsets t).(v)]
+    up to [(out_offsets t).(v + 1)] exclusive. Do not mutate. *)
+
+val out_adjacency : t -> int array
+(** The underlying out-CSR adjacency, each vertex's slice ascending. Do
+    not mutate. *)
 
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
@@ -62,7 +72,9 @@ val iter_edges : t -> (src:int -> dst:int -> unit) -> unit
 
 val symmetrize : t -> t
 (** [symmetrize g] is the undirected view of [g]: every edge present in
-    both directions, deduplicated, self-loops removed. *)
+    both directions, deduplicated, self-loops removed, with edges in
+    [(src, dst)] order. Linear in the size of [g]: each vertex's sorted
+    out- and in-lists are merged. *)
 
 val is_symmetric : t -> bool
 (** Whether every edge is reciprocated. *)

@@ -115,6 +115,46 @@ let prop_tr_matches_substrate =
         r.Tr.total = Cutfit_graph.Triangles.count g
       end)
 
+(* A duplicated canonical edge counts its triangles twice, a
+   reciprocated pair once, a self-loop never: brute force over canonical
+   edges in build order, against an adjacency matrix. *)
+let brute_force_tr g =
+  let n = Graph.num_vertices g in
+  let adj = Array.make_matrix n n false in
+  Graph.iter_edges g (fun ~src ~dst ->
+      if src <> dst then begin
+        adj.(src).(dst) <- true;
+        adj.(dst).(src) <- true
+      end);
+  let counts = Array.make n 0 in
+  Graph.iter_edges g (fun ~src ~dst ->
+      if src <> dst && (src < dst || not (Graph.has_edge g ~src:dst ~dst:src)) then
+        for x = max src dst + 1 to n - 1 do
+          if adj.(src).(x) && adj.(dst).(x) then
+            List.iter (fun v -> counts.(v) <- counts.(v) + 1) [ src; dst; x ]
+        done);
+  counts
+
+let test_tr_multiplicity () =
+  let g =
+    Test_util.graph_of_edges ~n:5
+      [ (0, 1); (0, 1); (1, 2); (2, 1); (2, 0); (3, 3); (1, 3); (3, 0); (2, 4); (4, 1); (4, 3) ]
+  in
+  let expected = brute_force_tr g in
+  let total = Array.fold_left ( + ) 0 expected / 3 in
+  checkb "the duplicate edge counts twice" true (total > Cutfit_graph.Triangles.count g);
+  let pg = pg_of g in
+  let r = Tr.run ~cluster pg in
+  Alcotest.(check (array int)) "boxed per-vertex" expected r.Tr.per_vertex;
+  checki "boxed total" total r.Tr.total;
+  let c = Cutfit_bsp.Csr.build pg in
+  List.iter
+    (fun domains ->
+      let per_vertex, t = Tr.run_csr ~domains c in
+      Alcotest.(check (array int)) (Printf.sprintf "csr per-vertex d%d" domains) expected per_vertex;
+      checki (Printf.sprintf "csr total d%d" domains) total t)
+    [ 1; 2; 4 ]
+
 (* --- SSSP --- *)
 
 let test_sssp_matches_bfs () =
@@ -184,6 +224,7 @@ let suite =
     Alcotest.test_case "TR reciprocated edges" `Quick test_tr_reciprocated_edges_not_double_counted;
     Alcotest.test_case "TR four stages" `Quick test_tr_four_stages;
     Alcotest.test_case "TR shared undirected view" `Quick test_tr_shared_undirected_view;
+    Alcotest.test_case "TR duplicate-edge multiplicity" `Quick test_tr_multiplicity;
     prop_tr_matches_substrate;
     Alcotest.test_case "SSSP matches BFS" `Quick test_sssp_matches_bfs;
     Alcotest.test_case "SSSP landmark zero" `Quick test_sssp_landmark_zero_distance;

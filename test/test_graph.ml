@@ -36,10 +36,6 @@ let test_edge_list_dedup () =
   let d2 = Edge_list.dedup ~drop_self_loops:false (Edge_list.of_list [ (3, 3); (3, 3) ]) in
   checki "loop kept when asked" 1 (Edge_list.length d2)
 
-let test_edge_list_symmetrize () =
-  let s = Edge_list.symmetrize (Edge_list.of_list [ (0, 1); (1, 2); (1, 0) ]) in
-  checki "4 directed edges" 4 (Edge_list.length s)
-
 let test_edge_list_bounds () =
   let el = Edge_list.of_list [ (0, 1) ] in
   Alcotest.check_raises "src OOB" (Invalid_argument "Edge_list.src: index out of bounds")
@@ -77,6 +73,65 @@ let test_graph_symmetrize () =
   checki "8 directed edges" 8 (Graph.num_edges s);
   checkb "symmetric" true (Graph.is_symmetric s);
   checkb "original not symmetric" false (Graph.is_symmetric diamond)
+
+let test_graph_symmetrize_reciprocated () =
+  let s = Graph.symmetrize (Test_util.graph_of_edges ~n:3 [ (0, 1); (1, 2); (1, 0) ]) in
+  checki "4 directed edges" 4 (Graph.num_edges s);
+  Alcotest.(check (array int)) "src in (src, dst) order" [| 0; 1; 1; 2 |] (Graph.src_array s);
+  Alcotest.(check (array int)) "dst in (src, dst) order" [| 1; 0; 2; 1 |] (Graph.dst_array s)
+
+(* Sort-based reference builders: the oracle for the counting-pass
+   [Graph.create] and the merging [Graph.symmetrize]. *)
+let ref_adjacency n keys values =
+  Array.init n (fun v ->
+      let l = ref [] in
+      Array.iteri (fun i k -> if k = v then l := values.(i) :: !l) keys;
+      Array.of_list (List.sort compare !l))
+
+let ref_symmetrize src dst =
+  let pairs =
+    List.concat (List.init (Array.length src) (fun i -> [ (src.(i), dst.(i)); (dst.(i), src.(i)) ]))
+  in
+  let pairs = List.sort_uniq compare (List.filter (fun (s, d) -> s <> d) pairs) in
+  (Array.of_list (List.map fst pairs), Array.of_list (List.map snd pairs))
+
+(* [g] holds exactly the edges [src]/[dst] in build order, with the
+   reference's sorted adjacency and degrees. *)
+let matches_reference g ~n ~src ~dst =
+  let out_ref = ref_adjacency n src dst and in_ref = ref_adjacency n dst src in
+  Graph.num_vertices g = n
+  && Graph.src_array g = src
+  && Graph.dst_array g = dst
+  && List.for_all
+       (fun v ->
+         Graph.out_neighbors g v = out_ref.(v)
+         && Graph.in_neighbors g v = in_ref.(v)
+         && Graph.out_degree g v = Array.length out_ref.(v)
+         && Graph.in_degree g v = Array.length in_ref.(v))
+       (List.init n Fun.id)
+
+(* Unlike [Test_util.small_graph_gen] + [Test_util.build], keeps
+   duplicate edges and self-loops: few vertices, many edges. *)
+let multigraph_gen =
+  let open QCheck2.Gen in
+  int_range 1 25 >>= fun n ->
+  int_range 0 150 >>= fun m ->
+  list_repeat m (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) >|= fun edges -> (n, edges)
+
+let arrays_of edges = (Array.of_list (List.map fst edges), Array.of_list (List.map snd edges))
+
+let prop_create_matches_reference =
+  Test_util.qtest ~count:200 "create = sort-based reference" ~print:Test_util.print_small_graph
+    multigraph_gen (fun (n, edges) ->
+      let src, dst = arrays_of edges in
+      matches_reference (Graph.create ~n ~src ~dst) ~n ~src ~dst)
+
+let prop_symmetrize_matches_reference =
+  Test_util.qtest ~count:200 "symmetrize = sort-based reference"
+    ~print:Test_util.print_small_graph multigraph_gen (fun (n, edges) ->
+      let src, dst = arrays_of edges in
+      let rsrc, rdst = ref_symmetrize src dst in
+      matches_reference (Graph.symmetrize (Graph.create ~n ~src ~dst)) ~n ~src:rsrc ~dst:rdst)
 
 let prop_symmetrize_symmetric =
   Test_util.qtest "symmetrize yields symmetric graph" ~print:Test_util.print_small_graph
@@ -274,13 +329,16 @@ let suite =
     Alcotest.test_case "edge_list basic" `Quick test_edge_list_basic;
     Alcotest.test_case "edge_list growth" `Quick test_edge_list_growth;
     Alcotest.test_case "edge_list dedup" `Quick test_edge_list_dedup;
-    Alcotest.test_case "edge_list symmetrize" `Quick test_edge_list_symmetrize;
     Alcotest.test_case "edge_list bounds" `Quick test_edge_list_bounds;
     Alcotest.test_case "graph degrees" `Quick test_graph_degrees;
     Alcotest.test_case "neighbors sorted" `Quick test_graph_neighbors_sorted;
     Alcotest.test_case "has_edge" `Quick test_graph_has_edge;
     Alcotest.test_case "bad input rejected" `Quick test_graph_rejects_bad_input;
     Alcotest.test_case "graph symmetrize" `Quick test_graph_symmetrize;
+    Alcotest.test_case "graph symmetrize reciprocated pair" `Quick
+      test_graph_symmetrize_reciprocated;
+    prop_create_matches_reference;
+    prop_symmetrize_matches_reference;
     prop_symmetrize_symmetric;
     prop_degree_sums;
     Alcotest.test_case "union_find" `Quick test_union_find;
